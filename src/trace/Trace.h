@@ -28,11 +28,16 @@ namespace ft {
 /// can pre-size their shadow state.
 class Trace {
 public:
-  /// Appends \p Op, updating entity counts.
-  void append(const Operation &Op);
+  /// Appends \p Op, updating entity counts. Barriers are not allowed
+  /// (use appendBarrier). Inline: the trace parser appends every record
+  /// through this into a presized trace.
+  void append(const Operation &Op) {
+    noteEntities(Op);
+    Ops.push_back(Op);
+  }
 
   /// Appends \p N operations in one call, updating entity counts once per
-  /// op but growing storage once. The online sequencer captures each
+  /// op but growing storage at most once. The online router captures each
   /// drained batch through this, so the steady state has no per-event
   /// capture branch. Barriers are not allowed (use appendBarrier).
   void appendRun(const Operation *Ops, size_t N);
@@ -63,7 +68,10 @@ public:
   unsigned numVolatiles() const { return NumVolatiles; }
   unsigned numBarrierSets() const { return BarrierSets.size(); }
 
-  /// Reserves capacity for \p N operations.
+  /// Reserves capacity for \p N operations. The parser presizes to a
+  /// bound on the record count, so a parse allocates the operation array
+  /// once. Otherwise the array grows geometrically, also under appendRun,
+  /// so a trace built run by run moves O(log n) times, not once per run.
   void reserve(size_t N) { Ops.reserve(N); }
 
   /// Removes all operations and side tables.
@@ -77,6 +85,38 @@ private:
   void noteThread(ThreadId T) {
     if (T + 1 > NumThreads)
       NumThreads = T + 1;
+  }
+
+  /// Raises the entity count \p Op's target belongs to.
+  void noteEntities(const Operation &Op) {
+    assert(Op.Kind != OpKind::Barrier &&
+           "use appendBarrier for barrier operations");
+    noteThread(Op.Thread);
+    switch (Op.Kind) {
+    case OpKind::Read:
+    case OpKind::Write:
+      if (Op.Target + 1 > NumVars)
+        NumVars = Op.Target + 1;
+      break;
+    case OpKind::Acquire:
+    case OpKind::Release:
+      if (Op.Target + 1 > NumLocks)
+        NumLocks = Op.Target + 1;
+      break;
+    case OpKind::Fork:
+    case OpKind::Join:
+      noteThread(Op.Target);
+      break;
+    case OpKind::VolatileRead:
+    case OpKind::VolatileWrite:
+      if (Op.Target + 1 > NumVolatiles)
+        NumVolatiles = Op.Target + 1;
+      break;
+    case OpKind::Barrier:
+    case OpKind::AtomicBegin:
+    case OpKind::AtomicEnd:
+      break;
+    }
   }
 
   std::vector<Operation> Ops;

@@ -28,7 +28,20 @@
 /// adversarial. Parsing therefore reports through the structured
 /// diagnostic model (support/Status.h) and offers a *salvage mode* that
 /// skips malformed records under a configurable error budget instead of
-/// aborting at the first bad byte. File loading streams line by line, so
+/// aborting at the first bad byte.
+///
+/// Reading is one cursor pass over the text. For each line the scanner
+/// skips blanks (' ', '\t', '\r'), dispatches on the mnemonic's length
+/// and first bytes, parses the ids in place, accepts '#', '\n' or the end
+/// of input after the last operand, and appends the record straight into
+/// the output trace. Only a rejected line is scanned a second time, to
+/// word its diagnostic. The trace is presized to an upper bound on its
+/// records, so its operation array is allocated once: the count of '\n'
+/// bytes + 1 for in-memory text, and file size ÷ 7 + 1 for a file (the
+/// shortest terminated record, "rd 0 1\n", is 7 bytes). parseTrace,
+/// loadTraceFile and segmented-capture recovery all accept records
+/// through this one scanner. loadTraceFile streams the file in 64 KiB
+/// reads and carries only a partial last line between them, so
 /// multi-gigabyte traces never hold a second whole-file copy in memory.
 ///
 //===----------------------------------------------------------------------===//
@@ -101,8 +114,8 @@ ParseReport parseTrace(std::string_view Text, Trace &Out,
 /// Writes \p T to \p Path.
 Status saveTraceFile(const std::string &Path, const Trace &T);
 
-/// Reads a trace from \p Path into \p Out, streaming the file line by
-/// line (peak memory is one I/O chunk plus the trace itself, never a
+/// Reads a trace from \p Path into \p Out, streaming the file in fixed
+/// chunks (peak memory is one I/O chunk plus the trace itself, never a
 /// second whole-file string).
 ParseReport loadTraceFile(const std::string &Path, Trace &Out,
                           const ParseOptions &Options = ParseOptions());

@@ -81,6 +81,30 @@ TEST(Trace, ClearResetsEverything) {
   EXPECT_EQ(T.numBarrierSets(), 0u);
 }
 
+TEST(Trace, AppendRunGrowsGeometrically) {
+  // A capture is built one drained batch at a time. Growing to the exact
+  // new size on every batch would copy the whole trace per batch
+  // (quadratic); geometric growth moves the buffer O(log n) times.
+  Trace T;
+  std::vector<Operation> Run;
+  for (unsigned I = 0; I != 16; ++I)
+    Run.push_back(I % 2 ? wr(I % 4, I) : rd(I % 4, I));
+  unsigned Moves = 0;
+  const Operation *Buffer = T.operations().data();
+  for (unsigned Batch = 0; Batch != 1000; ++Batch) {
+    T.appendRun(Run.data(), Run.size());
+    if (T.operations().data() != Buffer) {
+      ++Moves;
+      Buffer = T.operations().data();
+    }
+  }
+  EXPECT_EQ(T.size(), 16000u);
+  EXPECT_EQ(T.numThreads(), 4u);
+  EXPECT_EQ(T.numVars(), 16u);
+  // log2(16000 / 16) is about 10.
+  EXPECT_LE(Moves, 12u);
+}
+
 TEST(TraceBuilder, BuildsThePaperSection22Trace) {
   // wr(0,x) rel(0,m) acq(1,m) wr(1,x) — the worked example of Section 2.2.
   Trace T = TraceBuilder().wr(0, 0).rel(0, 0).acq(1, 0).wr(1, 0).take();
