@@ -54,11 +54,11 @@ int main(int argc, char **argv) {
 
     EmptyTool Baseline;
     double EmptySeconds = timedReplay(T, Baseline).Seconds;
+    const std::string ThreadCount = std::to_string(Threads);
     auto slowdownOf = [&](Tool &Checker, const char *Name) {
       double Seconds = timedReplay(T, Checker).Seconds;
       double Ratio = EmptySeconds > 0 ? Seconds / EmptySeconds : 0;
-      Report.metric("t" + std::to_string(Threads) + "_" + Name + "_slowdown",
-                    Ratio, "x");
+      Report.metric("t" + ThreadCount + "_" + Name + "_slowdown", Ratio, "x");
       return slowdown(Ratio);
     };
 

@@ -23,7 +23,10 @@ namespace ft {
 /// Performs no analysis; exists to price the event-dispatch overhead.
 class EmptyTool : public Tool {
 public:
-  const char *name() const override { return "Empty"; }
+  /// Out of line: the key function that anchors EmptyTool.cpp, and with
+  /// it the tool's fast-dispatch registration, in every binary that
+  /// constructs the tool.
+  const char *name() const override;
 };
 
 } // namespace ft

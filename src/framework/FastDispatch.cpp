@@ -12,6 +12,8 @@ namespace ft {
 
 namespace {
 
+/// Filled by FastDispatchRegistrar static initializers (single-threaded,
+/// before main) and only read afterwards, so plain storage suffices.
 std::vector<FastDispatchEntry> &fastDispatchRegistry() {
   static std::vector<FastDispatchEntry> Registry;
   return Registry;
@@ -23,10 +25,10 @@ void registerFastDispatch(FastDispatchEntry Entry) {
   fastDispatchRegistry().push_back(Entry);
 }
 
-FastDispatchRunFn resolveFastDispatch(const Tool &Checker) {
+const FastDispatchEntry *resolveFastDispatch(const Tool &Checker) {
   for (const FastDispatchEntry &Entry : fastDispatchRegistry())
-    if (Entry.Matches(Checker))
-      return Entry.Run;
+    if (*Entry.Type == typeid(Checker))
+      return &Entry;
   return nullptr;
 }
 

@@ -5,69 +5,68 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The online analogue of Replay.h's fast-replay registry: devirtualized
-/// *access-run* dispatch for OnlineDriver::dispatchRun.
+/// The fast-dispatch registry: devirtualized access dispatch for both the
+/// offline replay loop (replay()) and the online access-run loop
+/// (OnlineDriver::dispatchRun), one entry per concrete tool type.
 ///
-/// The per-shard drain loop of the sharded online engine hands the driver
-/// whole runs of already-admitted access events. Dispatching each one
-/// through a virtual onRead/onWrite costs an indirect call per event and
-/// hides the tool's same-epoch fast path from the inliner — exactly the
-/// overhead replayWithTool<ToolT> eliminates offline. This registry
-/// applies the same trick online: a tool's own translation unit registers
-/// a run-dispatch function instantiated against its concrete type (the
-/// qualified calls pin the overrides, so FastTrack's [FT READ/WRITE SAME
-/// EPOCH] paths inline straight into the loop), and the driver resolves
-/// it once, at construction, by exact dynamic type. A subclass that
-/// overrides the handlers again fails the exact-typeid probe and safely
-/// falls back to virtual dispatch; results are identical either way.
+/// Dispatching each access through a virtual onRead/onWrite costs an
+/// indirect call per event and hides the tool's same-epoch fast path from
+/// the inliner. A tool's own translation unit therefore registers, with
+/// one FT_REGISTER_FAST_DISPATCH line, the two loops instantiated against
+/// its concrete type: replayWithTool<ToolT> offline and
+/// fastDispatchRun<ToolT> online. Their qualified calls pin the
+/// overrides, so FastTrack's [FT READ/WRITE SAME EPOCH] paths inline
+/// straight into the loop. replay() and OnlineDriver resolve the entry
+/// once per run by *exact* dynamic type: a subclass that overrides the
+/// handlers again fails the typeid match and safely falls back to
+/// virtual dispatch. Results are identical either way.
 ///
 /// Layering note: this framework header includes runtime/EventRing.h for
 /// the OnlineEvent wire format. EventRing.h is header-only and depends
-/// only on trace/, so no link-time framework → runtime edge is created;
-/// OnlineDriver.h itself only forward-declares OnlineEvent.
+/// only on trace/, so no link-time framework → runtime edge is created.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FASTTRACK_FRAMEWORK_FASTDISPATCH_H
 #define FASTTRACK_FRAMEWORK_FASTDISPATCH_H
 
-#include "framework/Tool.h"
+#include "framework/Replay.h"
 #include "runtime/EventRing.h"
 
 #include <typeinfo>
 
 namespace ft {
 
-/// Dispatches a run of admitted *access* events (Read/Write only) to
-/// \p Checker, whose dynamic type matched the registrar's. Each event's
-/// Seq field carries the raw op index assigned at admission. Returns the
-/// number of accesses whose handler returned the pass flag.
-using FastDispatchRunFn = uint64_t (*)(Tool &Checker,
-                                       const runtime::OnlineEvent *Run,
-                                       size_t N);
-
-/// One registry entry: an exact-dynamic-type probe plus the devirtualized
-/// run loop for that type.
+/// One registry entry: the exact dynamic type it serves plus the two
+/// devirtualized loops for that type.
 struct FastDispatchEntry {
-  bool (*Matches)(const Tool &Checker);
-  FastDispatchRunFn Run;
+  const std::type_info *Type;
+  /// replayWithTool<ToolT> behind a type-erased signature.
+  ReplayResult (*Replay)(const Trace &T, Tool &Checker,
+                         const ReplayOptions &Options);
+  /// Dispatches a run of admitted *access* events (Read/Write only); each
+  /// event's Seq carries the raw op index assigned at admission. Returns
+  /// the number of accesses whose handler returned the pass flag.
+  uint64_t (*DispatchRun)(Tool &Checker, const runtime::OnlineEvent *Run,
+                          size_t N);
 };
 
-/// Adds \p Entry to the registry consulted by resolveFastDispatch.
-/// Called from static initializers in each tool's translation unit, so a
-/// linked-in tool is automatically fast-pathed and an absent one costs
-/// nothing.
+/// Adds \p Entry to the registry. Called from static initializers in each
+/// tool's translation unit, so a linked-in tool is automatically
+/// fast-pathed and an absent one costs nothing.
 void registerFastDispatch(FastDispatchEntry Entry);
 
-/// Returns the registered run loop for \p Checker's exact dynamic type,
-/// or nullptr when none matches (the driver then dispatches virtually).
-FastDispatchRunFn resolveFastDispatch(const Tool &Checker);
+/// Returns the entry registered for \p Checker's exact dynamic type, or
+/// nullptr when none matches (callers then dispatch virtually).
+const FastDispatchEntry *resolveFastDispatch(const Tool &Checker);
 
-template <typename ToolT> bool fastDispatchMatches(const Tool &Checker) {
-  return typeid(Checker) == typeid(ToolT);
+template <typename ToolT>
+ReplayResult fastReplay(const Trace &T, Tool &Checker,
+                        const ReplayOptions &Options) {
+  return replayWithTool(T, static_cast<ToolT &>(Checker), Options);
 }
 
-/// The generic run loop for concrete tool \p ToolT: qualified calls pin
+/// The online run loop for concrete tool \p ToolT: qualified calls pin
 /// the overrides so the access handlers inline (see replayWithTool).
 template <typename ToolT>
 uint64_t fastDispatchRun(Tool &Base, const runtime::OnlineEvent *Run,
@@ -85,7 +84,7 @@ uint64_t fastDispatchRun(Tool &Base, const runtime::OnlineEvent *Run,
   return Passed;
 }
 
-/// Registers fastDispatchRun<ToolT> at static-initialization time.
+/// Registers one entry at static-initialization time.
 struct FastDispatchRegistrar {
   explicit FastDispatchRegistrar(FastDispatchEntry Entry) {
     registerFastDispatch(Entry);
@@ -95,12 +94,12 @@ struct FastDispatchRegistrar {
 #define FT_FAST_DISPATCH_CONCAT2(A, B) A##B
 #define FT_FAST_DISPATCH_CONCAT(A, B) FT_FAST_DISPATCH_CONCAT2(A, B)
 
-/// Place in the tool's own .cpp, next to FT_REGISTER_FAST_REPLAY, where
-/// the access handlers' bodies are visible to the instantiation.
+/// Place in the tool's own .cpp, where the access handlers' bodies are
+/// visible to both instantiations.
 #define FT_REGISTER_FAST_DISPATCH(ToolT)                                       \
   static ::ft::FastDispatchRegistrar FT_FAST_DISPATCH_CONCAT(                  \
       FtFastDispatchRegistrar_,                                                \
-      __LINE__)({&::ft::fastDispatchMatches<ToolT>,                            \
+      __LINE__)({&typeid(ToolT), &::ft::fastReplay<ToolT>,                     \
                  &::ft::fastDispatchRun<ToolT>})
 
 } // namespace ft

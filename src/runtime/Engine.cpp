@@ -250,15 +250,11 @@ Engine::Engine(Tool &Checker, OnlineOptions Opts)
          "one online session at a time");
   CurrentEngine.store(this, std::memory_order_release);
 
-  if (NumShards > 1) {
-    for (std::unique_ptr<Shard> &S : ShardSet) {
-      Shard *P = S.get();
-      P->Worker = std::thread([this, P] { shardLoop(*P, 0); });
-    }
-    SequencerThread = std::thread([this] { routerLoop(0); });
-  } else {
-    SequencerThread = std::thread([this] { sequencerLoop(0); });
+  for (std::unique_ptr<Shard> &S : ShardSet) {
+    Shard *P = S.get();
+    P->Worker = std::thread([this, P] { shardLoop(*P, 0); });
   }
+  SequencerThread = std::thread([this] { mergeLoop(0); });
   if (Options.Supervise.Enabled)
     SupervisorThread = std::thread([this] { supervisorLoop(); });
 }
@@ -536,140 +532,6 @@ void Engine::noteMaxBacklog(uint64_t Backlog) {
     ;
 }
 
-void Engine::sequencerLoop(uint64_t Epoch) {
-  // A successor resumes exactly at the predecessor's published watermark:
-  // batches are popped, dispatched, and published atomically with respect
-  // to abandonment (the epoch is only checked between batches).
-  uint64_t Next = NextSeq.load(std::memory_order_acquire);
-  std::vector<Channel *> Snapshot;
-  size_t Known = 0;
-  const size_t BatchCap = std::max<size_t>(1, Options.SequencerBatch);
-  std::vector<OnlineEvent> Batch(BatchCap);
-  std::vector<Operation> Delivered;
-  Delivered.reserve(BatchCap);
-  const FaultPlan *Faults = Options.Faults;
-  uint64_t LocalMaxBacklog = 0;
-  bool Abandoned = false;
-  while (!Abandoned) {
-    if (SequencerEpoch.load(std::memory_order_acquire) != Epoch)
-      break;
-    // Rung downgrades requested by the supervisor are applied here: the
-    // driver is single-threaded, so only the sequencer may touch it.
-    if (unsigned K = PendingDegrade.exchange(0, std::memory_order_acq_rel)) {
-      while (K-- != 0 &&
-             Driver.requestStepDown(StatusCode::Stalled,
-                                    "supervisor: sustained overload"))
-        ;
-    }
-    // Rebuild the channel snapshot only when a registration happened;
-    // the steady-state sweep never touches ChannelMu.
-    if (NumChannels.load(std::memory_order_acquire) != Known) {
-      std::lock_guard<std::mutex> Guard(ChannelMu);
-      Snapshot.clear();
-      for (const std::unique_ptr<Channel> &Ch : Channels)
-        Snapshot.push_back(Ch.get());
-      Known = Channels.size();
-    }
-    uint64_t Backlog = Seq.load(std::memory_order_relaxed) - Next;
-    if (Backlog > LocalMaxBacklog)
-      LocalMaxBacklog = Backlog;
-    bool Progress = false;
-    for (Channel *Ch : Snapshot) {
-      // Drain this ring's run of consecutive tickets in batches: the
-      // events are copied out and their slots released in one Head store
-      // (so a parked producer unblocks early), then dispatched from the
-      // local buffer. A short batch means the run ended — either the
-      // ring is out of events or its head ticket is from the future, so
-      // move on to the other rings.
-      for (;;) {
-        // Injected wedge (FaultPlan): busy-wait *before* consuming the
-        // ticket, so nothing is popped-but-undelivered — the supervisor
-        // abandons this thread and its successor resumes cleanly here.
-        if (Faults && Faults->takeStall(Next)) {
-          while (SequencerEpoch.load(std::memory_order_acquire) == Epoch)
-            std::this_thread::sleep_for(std::chrono::microseconds(100));
-          Abandoned = true;
-          break;
-        }
-        size_t Cap = BatchCap;
-        if (Faults &&
-            Faults->StallsArmed.load(std::memory_order_relaxed) != 0 &&
-            Faults->StallAtTicket > Next &&
-            Faults->StallAtTicket - Next < Cap)
-          // Stop the batch right before the stall ticket so the check
-          // above sees it exactly (a batch advances Next wholesale).
-          Cap = static_cast<size_t>(Faults->StallAtTicket - Next);
-        size_t N = Ch->Ring.popRunInto(Next, Batch.data(), Cap);
-        if (N == 0)
-          break;
-        Progress = true;
-        Delivered.clear();
-        for (size_t I = 0; I != N; ++I) {
-          if (Halted.load(std::memory_order_relaxed)) {
-            // Ticketed before the halt landed; discarded but counted —
-            // no silent loss (the relaxed load is fine: this thread set
-            // the flag itself or will re-check via the driver).
-            ++DiscardedPostHalt;
-            continue;
-          }
-          Operation Op(Batch[I].Kind, Ch->Id, Batch[I].Target);
-          OnlineDriver::DispatchOutcome Outcome = Driver.offer(Op);
-          if (Outcome == OnlineDriver::DispatchOutcome::Delivered) {
-            if (Capturing)
-              Delivered.push_back(Op);
-            if (Faults && Faults->inStorm(Batch[I].Seq))
-              std::this_thread::sleep_for(
-                  std::chrono::microseconds(Faults->DelayPerDeliveryUs));
-          } else if (Outcome == OnlineDriver::DispatchOutcome::Rejected) {
-            // Unrecoverable driver halt. Release pairs with the acquire
-            // in emit(): the driver's diagnostics are fully written
-            // before producers can observe the flag (see Halted).
-            Halted.store(true, std::memory_order_release);
-            ++DiscardedPostHalt;
-          }
-        }
-        if (!Delivered.empty()) {
-          // Batched capture (no per-event branch in the steady state):
-          // the whole delivered run lands in one appendRun / one
-          // segment write.
-          if (MemCapture)
-            Capture.appendRun(Delivered.data(), Delivered.size());
-          if (SegWriter)
-            SegWriter->append(Delivered.data(), Delivered.size());
-        }
-        // Publish the merge watermark per batch: the watchdog reads it
-        // for stall detection and a successor resumes from it. The
-        // OnlineOptions::SequencerBatch invariant: published watermarks
-        // are strictly increasing and only ever move past *fully*
-        // processed batches.
-        assert(Next > NextSeq.load(std::memory_order_relaxed) &&
-               "per-batch watermark must advance monotonically");
-        NextSeq.store(Next, std::memory_order_release);
-        if (N != Cap)
-          break;
-      }
-      if (Abandoned)
-        break;
-    }
-    if (Abandoned)
-      break;
-    if (Progress)
-      continue;
-    // No ring held ticket Next: either it is in flight (drawn but not yet
-    // published — a handful of instructions), or nothing is happening.
-    if (!Running.load(std::memory_order_acquire) &&
-        Next == Seq.load(std::memory_order_acquire))
-      break;
-    std::this_thread::yield();
-  }
-  noteMaxBacklog(LocalMaxBacklog);
-  // Vector-clock counters are thread-local (see ClockStats.h); each
-  // sequencer incarnation folds its block in at exit. ClocksMu covers the
-  // sharded engine, where shard workers can exit concurrently.
-  std::lock_guard<std::mutex> Guard(ClocksMu);
-  SequencerClocks += clockStats();
-}
-
 unsigned Engine::shardIndexFor(uint32_t Target) const {
   // Block-cyclic on the POST-transform id. Routing after the admission
   // driver's coarse-rung remap is what keeps sharding exactly equivalent
@@ -743,14 +605,21 @@ bool Engine::routeToShard(Shard &S, const OnlineEvent &E) {
   return Pushed;
 }
 
-void Engine::routerLoop(uint64_t Epoch) {
-  // The sharded engine's first pipeline stage: sequencerLoop's merge and
-  // admission stages verbatim (same watermark/restart contract, same
-  // fault hooks, same capture), with tool dispatch replaced by routing —
-  // admitted accesses go to the shard owning their variable, admitted
-  // sync events to every shard (the cross-shard spine). The raw index the
-  // admission driver just assigned rides in OnlineEvent::Seq so shard
-  // tools see single-sequencer op indices.
+void Engine::mergeLoop(uint64_t Epoch) {
+  // The session's one merge loop, at every shard count: merge the rings by
+  // ticket, run admission (degradation ladder, capacity checks, lock
+  // filtering, raw-index assignment), capture the delivered stream, and
+  // publish the watermark once per batch. With one shard the driver has
+  // the Full role and offer() also runs the tool in place. With shards the
+  // driver is admission-only and this loop is the *router*: admitted
+  // accesses go to the shard owning their variable, admitted sync events
+  // to every shard (the cross-shard spine). The raw index admission just
+  // assigned rides in OnlineEvent::Seq so shard tools see the same op
+  // indices as the unsharded engine.
+  //
+  // A successor resumes exactly at the predecessor's published watermark:
+  // batches are popped, admitted, and published atomically with respect
+  // to abandonment (the epoch is only checked between batches).
   uint64_t Next = NextSeq.load(std::memory_order_acquire);
   std::vector<Channel *> Snapshot;
   size_t Known = 0;
@@ -758,9 +627,10 @@ void Engine::routerLoop(uint64_t Epoch) {
   std::vector<OnlineEvent> Batch(BatchCap);
   std::vector<Operation> Delivered;
   Delivered.reserve(BatchCap);
+  const bool Sharded = NumShards > 1;
   // Routed accesses are staged per shard and flushed as whole runs
   // (EventRing::pushRun: one release store per run, not one per event) —
-  // transport is what sharding pays over the single sequencer, so it is
+  // transport is what sharding pays over the unsharded engine, so it is
   // kept off the per-event path. Flushes happen when a stage fills,
   // before any broadcast sync (per-shard ring order must match admission
   // order), and before every watermark publish (a batch only counts as
@@ -768,12 +638,16 @@ void Engine::routerLoop(uint64_t Epoch) {
   // Capped at 1024 events: past that the flush amortization is already
   // total, and NumShards stage buffers at SequencerBatch size would cost
   // more in cache footprint than the batching saves.
-  const size_t StageCap = std::max<size_t>(
-      1, std::min({BatchCap, ShardSet.front()->Ring.capacity() / 2,
-                   static_cast<size_t>(1024)}));
-  std::vector<std::vector<OnlineEvent>> Stage(NumShards);
-  for (std::vector<OnlineEvent> &Buf : Stage)
-    Buf.reserve(StageCap);
+  size_t StageCap = 1;
+  std::vector<std::vector<OnlineEvent>> Stage;
+  if (Sharded) {
+    StageCap = std::max<size_t>(
+        1, std::min({BatchCap, ShardSet.front()->Ring.capacity() / 2,
+                     static_cast<size_t>(1024)}));
+    Stage.resize(NumShards);
+    for (std::vector<OnlineEvent> &Buf : Stage)
+      Buf.reserve(StageCap);
+  }
   auto FlushShard = [&](unsigned SI) {
     std::vector<OnlineEvent> &Buf = Stage[SI];
     if (Buf.empty())
@@ -808,19 +682,28 @@ void Engine::routerLoop(uint64_t Epoch) {
       RouterBlockedOnShard.store(false, std::memory_order_release);
     Buf.clear();
   };
+  auto StageAccess = [&](const OnlineEvent &Routed) {
+    unsigned SI = shardIndexFor(Routed.Target);
+    Stage[SI].push_back(Routed);
+    if (Stage[SI].size() >= StageCap)
+      FlushShard(SI);
+  };
   const FaultPlan *Faults = Options.Faults;
   uint64_t LocalMaxBacklog = 0;
-  unsigned IdlePolls = 0;
   bool Abandoned = false;
   while (!Abandoned) {
     if (SequencerEpoch.load(std::memory_order_acquire) != Epoch)
       break;
+    // Rung downgrades requested by the supervisor are applied here: the
+    // driver is single-threaded, so only this loop may touch it.
     if (unsigned K = PendingDegrade.exchange(0, std::memory_order_acq_rel)) {
       while (K-- != 0 &&
              Driver.requestStepDown(StatusCode::Stalled,
                                     "supervisor: sustained overload"))
         ;
     }
+    // Rebuild the channel snapshot only when a registration happened;
+    // the steady-state sweep never touches ChannelMu.
     if (NumChannels.load(std::memory_order_acquire) != Known) {
       std::lock_guard<std::mutex> Guard(ChannelMu);
       Snapshot.clear();
@@ -833,7 +716,16 @@ void Engine::routerLoop(uint64_t Epoch) {
       LocalMaxBacklog = Backlog;
     bool Progress = false;
     for (Channel *Ch : Snapshot) {
+      // Drain this ring's run of consecutive tickets in batches: the
+      // events are copied out and their slots released in one Head store
+      // (so a parked producer unblocks early), then admitted from the
+      // local buffer. A short batch means the run ended — either the
+      // ring is out of events or its head ticket is from the future, so
+      // move on to the other rings.
       for (;;) {
+        // Injected wedge (FaultPlan): busy-wait *before* consuming the
+        // ticket, so nothing is popped-but-undelivered — the supervisor
+        // abandons this thread and its successor resumes cleanly here.
         if (Faults && Faults->takeStall(Next)) {
           while (SequencerEpoch.load(std::memory_order_acquire) == Epoch)
             std::this_thread::sleep_for(std::chrono::microseconds(100));
@@ -845,6 +737,8 @@ void Engine::routerLoop(uint64_t Epoch) {
             Faults->StallsArmed.load(std::memory_order_relaxed) != 0 &&
             Faults->StallAtTicket > Next &&
             Faults->StallAtTicket - Next < Cap)
+          // Stop the batch right before the stall ticket so the check
+          // above sees it exactly (a batch advances Next wholesale).
           Cap = static_cast<size_t>(Faults->StallAtTicket - Next);
         size_t N = Ch->Ring.popRunInto(Next, Batch.data(), Cap);
         if (N == 0)
@@ -854,19 +748,23 @@ void Engine::routerLoop(uint64_t Epoch) {
         size_t I = 0;
         while (I != N) {
           if (Halted.load(std::memory_order_relaxed)) {
+            // Ticketed before the halt landed; discarded but counted —
+            // no silent loss (the relaxed load is fine: this thread set
+            // the flag itself or will re-check via the driver).
             ++DiscardedPostHalt;
             ++I;
             continue;
           }
-          // Access stretches take the batched admission fast path: one
-          // admitAccessRun() call consumes the whole stretch's raw
-          // indices and events move straight from the merge batch into
-          // the shard stages, without materializing per-event Operations
-          // or paying offer()'s per-event checks. Anything that needs to
-          // look at events individually — a degraded rung, a pending
-          // budget probe, a capacity breach, armed faults — falls back to
-          // the per-event path below, which owns the exact semantics.
-          if (!Faults && isAccess(Batch[I].Kind)) {
+          // Sharded access stretches take the batched admission fast
+          // path: one admitAccessRun() call consumes the whole stretch's
+          // raw indices and events move straight from the merge batch
+          // into the shard stages, without materializing per-event
+          // Operations or paying offer()'s per-event checks. Anything
+          // that needs to look at events individually — a degraded rung,
+          // a pending budget probe, a capacity breach, armed faults —
+          // falls back to the per-event path below, which owns the exact
+          // semantics.
+          if (Sharded && !Faults && isAccess(Batch[I].Kind)) {
             size_t End = I + 1;
             while (End != N && isAccess(Batch[End].Kind))
               ++End;
@@ -877,15 +775,8 @@ void Engine::routerLoop(uint64_t Epoch) {
                 if (Capturing)
                   Delivered.push_back(
                       Operation(Batch[J].Kind, Ch->Id, Batch[J].Target));
-                OnlineEvent Routed;
-                Routed.Seq = Base + (J - I);
-                Routed.Kind = Batch[J].Kind;
-                Routed.Target = Batch[J].Target;
-                Routed.Thread = Ch->Id;
-                unsigned SI = shardIndexFor(Routed.Target);
-                Stage[SI].push_back(Routed);
-                if (Stage[SI].size() >= StageCap)
-                  FlushShard(SI);
+                StageAccess({Base + (J - I), Batch[J].Kind, Batch[J].Target,
+                             Ch->Id});
               }
               I = End;
               continue;
@@ -896,52 +787,58 @@ void Engine::routerLoop(uint64_t Epoch) {
           if (Outcome == OnlineDriver::DispatchOutcome::Delivered) {
             if (Capturing)
               Delivered.push_back(Op);
-            OnlineEvent Routed;
-            Routed.Seq = Driver.rawOps() - 1; // the index just assigned
-            Routed.Kind = Op.Kind;
-            Routed.Target = Op.Target;
-            Routed.Thread = Ch->Id;
-            if (isAccess(Op.Kind)) {
-              unsigned SI = shardIndexFor(Op.Target);
-              Stage[SI].push_back(Routed);
-              if (Stage[SI].size() >= StageCap)
-                FlushShard(SI);
-            } else if (!Driver.lastAdmittedFiltered()) {
-              // The spine: every shard sees every admitted sync event, in
-              // admission order — that shared subsequence is what makes a
-              // per-shard sync *ordinal* well defined without carrying an
-              // extra field. Filter-stripped lock events are captured
-              // (they own raw indices) but never routed: shard drivers
-              // run with the filter off. Staged accesses flush first so
-              // every ring receives the sync after the accesses admitted
-              // before it.
-              for (unsigned SI = 0; SI != NumShards; ++SI)
-                FlushShard(SI);
-              for (std::unique_ptr<Shard> &S : ShardSet)
-                if (!routeToShard(*S, Routed))
-                  ++DiscardedPostHalt;
+            if (Sharded) {
+              // The index just assigned.
+              const OnlineEvent Routed{Driver.rawOps() - 1, Op.Kind,
+                                       Op.Target, Ch->Id};
+              if (isAccess(Op.Kind)) {
+                StageAccess(Routed);
+              } else if (!Driver.lastAdmittedFiltered()) {
+                // The spine: every shard sees every admitted sync event,
+                // in admission order — that shared subsequence is what
+                // makes a per-shard sync *ordinal* well defined without
+                // carrying an extra field. Filter-stripped lock events are
+                // captured (they own raw indices) but never routed: shard
+                // drivers run with the filter off. Staged accesses flush
+                // first so every ring receives the sync after the
+                // accesses admitted before it.
+                for (unsigned SI = 0; SI != NumShards; ++SI)
+                  FlushShard(SI);
+                for (std::unique_ptr<Shard> &S : ShardSet)
+                  if (!routeToShard(*S, Routed))
+                    ++DiscardedPostHalt;
+              }
             }
             if (Faults && Faults->inStorm(Batch[I].Seq))
               std::this_thread::sleep_for(
                   std::chrono::microseconds(Faults->DelayPerDeliveryUs));
           } else if (Outcome == OnlineDriver::DispatchOutcome::Rejected) {
+            // Unrecoverable driver halt. Release pairs with the acquire
+            // in emit(): the driver's diagnostics are fully written
+            // before producers can observe the flag (see Halted).
             Halted.store(true, std::memory_order_release);
             ++DiscardedPostHalt;
           }
           ++I;
         }
         if (!Delivered.empty()) {
+          // Batched capture (no per-event branch in the steady state):
+          // the whole delivered run lands in one appendRun / one
+          // segment write.
           if (MemCapture)
             Capture.appendRun(Delivered.data(), Delivered.size());
           if (SegWriter)
             SegWriter->append(Delivered.data(), Delivered.size());
         }
-        // Same per-batch watermark contract as sequencerLoop: published
-        // only after the whole batch is admitted, captured, AND routed —
-        // staged events count as routed only once flushed into their
-        // rings — so a restarted router never re-admits (duplicate raw
-        // indices) or skips (holes in the capture) an event.
-        for (unsigned SI = 0; SI != NumShards; ++SI)
+        // Publish the merge watermark per batch: the watchdog reads it
+        // for stall detection and a successor resumes from it. The
+        // OnlineOptions::SequencerBatch invariant: published watermarks
+        // are strictly increasing and only ever move past *fully*
+        // processed batches — admitted, captured, AND routed (staged
+        // events count as routed only once flushed into their rings) —
+        // so a restarted loop never re-admits (duplicate raw indices) or
+        // skips (holes in the capture) an event.
+        for (unsigned SI = 0; SI != Stage.size(); ++SI)
           FlushShard(SI);
         assert(Next > NextSeq.load(std::memory_order_relaxed) &&
                "per-batch watermark must advance monotonically");
@@ -954,21 +851,19 @@ void Engine::routerLoop(uint64_t Epoch) {
     }
     if (Abandoned)
       break;
-    if (Progress) {
-      IdlePolls = 0;
+    if (Progress)
       continue;
-    }
+    // No ring held ticket Next: either it is in flight (drawn but not yet
+    // published — a handful of instructions), or nothing is happening.
     if (!Running.load(std::memory_order_acquire) &&
         Next == Seq.load(std::memory_order_acquire))
       break;
-    // Same idle backoff as the shard workers: on an oversubscribed host a
-    // yield-spinning router competes with the producers it is waiting on.
-    if (++IdlePolls < 64)
-      std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    std::this_thread::yield();
   }
   noteMaxBacklog(LocalMaxBacklog);
+  // Vector-clock counters are thread-local (see ClockStats.h); each
+  // incarnation folds its block in at exit. ClocksMu covers the sharded
+  // engine, where shard workers can exit concurrently.
   std::lock_guard<std::mutex> Guard(ClocksMu);
   SequencerClocks += clockStats();
 }
@@ -1170,11 +1065,7 @@ void Engine::restartSequencerLocked() {
     SequencerThread.join();
   Restarts.fetch_add(1, std::memory_order_relaxed);
   superviseNote(Severity::Note, StatusCode::Stalled, "sequencer restarted");
-  if (NumShards > 1)
-    SequencerThread = std::thread([this, NewEpoch] { routerLoop(NewEpoch); });
-  else
-    SequencerThread =
-        std::thread([this, NewEpoch] { sequencerLoop(NewEpoch); });
+  SequencerThread = std::thread([this, NewEpoch] { mergeLoop(NewEpoch); });
 }
 
 void Engine::handleShardStall(Shard &S) {

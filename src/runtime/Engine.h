@@ -39,21 +39,23 @@
 ///    fills; a full ring parks the thread (bounded-queue backpressure),
 ///    so the application can never race unboundedly ahead of the
 ///    detector.
-///  - **The sequencer.** One drain thread merges the rings by ticket
-///    number into the totally-ordered stream and feeds the framework's
-///    OnlineDriver, which applies the serial replay loop's semantics
-///    (re-entrant lock filtering, raw op indices) to the unmodified Tool.
-///    Detection runs entirely off the application's critical path.
-///  - **Shards** (OnlineOptions::Shards > 1). The sequencer splits into
-///    a *router* (merge + admission + capture + routing) and N shard
-///    workers, each draining the accesses of the variables it owns into
-///    a shard-local tool clone; admitted sync events are broadcast to
-///    every shard as the cross-shard spine, paced by a ticket-watermark
-///    barrier (a shard may not dispatch sync ordinal k until every shard
-///    has finished ordinal k-1). Warnings and captures stay identical to
-///    the single-sequencer engine. The full protocol, including why the
-///    barrier is pacing rather than a precision requirement, is worked
-///    through in docs/RUNTIME.md.
+///  - **The merge loop.** One drain thread (the sequencer) merges the
+///    rings by ticket number into the totally-ordered stream and runs
+///    admission in the framework's OnlineDriver (degradation ladder,
+///    capacity checks, re-entrant lock filtering, raw op indices), then
+///    captures the delivered stream and publishes its merge watermark
+///    once per batch. The same loop runs at every shard count. With one
+///    shard the driver has the Full role and also runs the unmodified
+///    Tool in place, one offer() per event. With OnlineOptions::Shards
+///    > 1 the loop is a *router*: each admitted access goes to the shard
+///    worker owning its variable, which drains it into a shard-local tool
+///    clone, and each admitted sync event goes to every shard as the
+///    cross-shard spine, paced by a ticket-watermark barrier (a shard may
+///    not dispatch sync ordinal k until every shard has finished ordinal
+///    k-1). Warnings and captures are identical at every shard count.
+///    Detection runs entirely off the application's critical path. The
+///    full protocol, including why the barrier is pacing rather than a
+///    precision requirement, is worked through in docs/RUNTIME.md.
 ///  - **The flight recorder.** The merged stream is optionally captured
 ///    as a Trace and written as a .trc file on finish() — or, with
 ///    CaptureSegmentBytes set, streamed as sealed, fsynced segments
@@ -202,19 +204,18 @@ struct OnlineOptions {
   /// gone from the ring and exist nowhere else).
   size_t SequencerBatch = 256;
 
-  /// Per-shard sequencer threads — the PR 1 variable partitioning
-  /// brought online. 0 or 1 keeps the classic single sequencer,
-  /// bit-compatible with previous releases. With N > 1 the old sequencer
-  /// becomes a *router*: it still merges tickets and runs admission
-  /// (degradation ladder, capacity checks, lock filtering, raw-index
-  /// assignment, capture), then routes each admitted access to the shard
-  /// owning its variable — shardOf(x) = (x / ShardBlockVars) % N — and
-  /// every admitted sync event to all shards (the cross-shard spine).
-  /// Each shard drains its own ring into a shard-local clone of the tool
-  /// (ShardableTool::cloneForShard), so warnings and captures are
-  /// byte-identical to the single-sequencer engine (asserted by the
-  /// determinism suite). A tool that does not implement ShardableTool
-  /// falls back to 1 with a Note diagnostic. Clamped to 64.
+  /// Shard workers — the offline variable partitioning brought online.
+  /// 0 or 1 runs no shard stage: the merge loop dispatches to the tool
+  /// itself. With N > 1 the merge loop is a *router*: it still merges
+  /// tickets and runs admission (degradation ladder, capacity checks,
+  /// lock filtering, raw-index assignment, capture), then routes each
+  /// admitted access to the shard owning its variable — shardOf(x) =
+  /// (x / ShardBlockVars) % N — and every admitted sync event to all
+  /// shards (the cross-shard spine). Each shard drains its own ring into
+  /// a shard-local clone of the tool (ShardableTool::cloneForShard), so
+  /// warnings and captures are byte-identical to the unsharded engine
+  /// (asserted by the determinism suite). A tool that does not implement
+  /// ShardableTool falls back to 1 with a Note diagnostic. Clamped to 64.
   unsigned Shards = 1;
 
   /// Variables per routing block. Block-cyclic routing keeps neighboring
@@ -482,8 +483,7 @@ private:
   void promoteDrainedLocked();
   void noteExhaustion(const char *Who);
   bool parkUntilSpace(Channel *Ch, OpKind Kind);
-  void sequencerLoop(uint64_t Epoch);
-  void routerLoop(uint64_t Epoch);
+  void mergeLoop(uint64_t Epoch);
   void shardLoop(Shard &S, uint64_t MyEpoch);
   bool routeToShard(Shard &S, const OnlineEvent &E);
   unsigned shardIndexFor(uint32_t Target) const;

@@ -17,17 +17,23 @@ Operation Trace::appendBarrier(const std::vector<ThreadId> &Threads) {
   Sorted.erase(std::unique(Sorted.begin(), Sorted.end()), Sorted.end());
   for (ThreadId T : Sorted)
     noteThread(T);
+  // Reuse an identical existing set if present (barriers repeat many
+  // times), looked up by a hash of its sorted ids.
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  for (ThreadId T : Sorted)
+    Hash = (Hash ^ T) * 0x100000001b3ull;
   uint32_t SetIndex = BarrierSets.size();
-  // Reuse an identical existing set if present (barriers repeat many times).
-  for (uint32_t I = 0; I != BarrierSets.size(); ++I) {
-    if (BarrierSets[I] == Sorted) {
-      SetIndex = I;
+  auto [It, End] = BarrierIndex.equal_range(Hash);
+  for (; It != End; ++It)
+    if (BarrierSets[It->second] == Sorted) {
+      SetIndex = It->second;
       break;
     }
+  if (SetIndex == BarrierSets.size()) {
+    BarrierIndex.emplace(Hash, SetIndex);
+    BarrierSets.push_back(std::move(Sorted));
   }
-  if (SetIndex == BarrierSets.size())
-    BarrierSets.push_back(Sorted);
-  Operation Op(OpKind::Barrier, Sorted.front(), SetIndex);
+  Operation Op(OpKind::Barrier, BarrierSets[SetIndex].front(), SetIndex);
   Ops.push_back(Op);
   return Op;
 }
@@ -35,6 +41,7 @@ Operation Trace::appendBarrier(const std::vector<ThreadId> &Threads) {
 void Trace::clear() {
   Ops.clear();
   BarrierSets.clear();
+  BarrierIndex.clear();
   NumThreads = 1;
   NumVars = 0;
   NumLocks = 0;

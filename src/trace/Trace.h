@@ -16,6 +16,8 @@
 #include "trace/Operation.h"
 
 #include <cassert>
+#include <cstdint>
+#include <unordered_map>
 #include <vector>
 
 namespace ft {
@@ -121,6 +123,8 @@ private:
 
   std::vector<Operation> Ops;
   std::vector<std::vector<ThreadId>> BarrierSets;
+  /// Hash of a sorted barrier set → its index in BarrierSets.
+  std::unordered_multimap<uint64_t, uint32_t> BarrierIndex;
   unsigned NumThreads = 1;
   unsigned NumVars = 0;
   unsigned NumLocks = 0;

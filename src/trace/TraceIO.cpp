@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstring>
 #include <optional>
+#include <unordered_set>
 
 using namespace ft;
 
@@ -287,13 +288,17 @@ private:
     BarrierSet.clear();
     while (classOf(*skipBlanks(P)) != EndByte) {
       uint32_t Tid;
-      if (scanId(P, MaxId, Tid) != IdCheck::Ok ||
-          std::find(BarrierSet.begin(), BarrierSet.end(), Tid) !=
-              BarrierSet.end())
+      if (scanId(P, MaxId, Tid) != IdCheck::Ok)
         return LineKind::Malformed;
       BarrierSet.push_back(Tid);
     }
     if (BarrierSet.empty())
+      return LineKind::Malformed;
+    // Duplicates by sorting: O(n log n) in the barrier's width. The order
+    // is free to change, since appendBarrier stores the set sorted.
+    std::sort(BarrierSet.begin(), BarrierSet.end());
+    if (std::adjacent_find(BarrierSet.begin(), BarrierSet.end()) !=
+        BarrierSet.end())
       return LineKind::Malformed;
     Out.appendBarrier(BarrierSet);
     return LineKind::Record;
@@ -318,16 +323,15 @@ private:
       return "unknown operation '" + Name + "'";
 
     if (*Kind == OpKind::Barrier) {
-      std::vector<ThreadId> Seen;
+      std::unordered_set<ThreadId> Seen;
       while (classOf(*skipBlanks(P)) != EndByte) {
         const char *Tok = skipBlanks(P);
         uint32_t Tid;
         if (IdCheck C = scanId(P, Options.MaxId, Tid); C != IdCheck::Ok)
           return explainId(C, std::string_view(Tok, P - Tok), "thread id");
-        if (std::find(Seen.begin(), Seen.end(), Tid) != Seen.end())
+        if (!Seen.insert(Tid).second)
           return "duplicate thread id " + std::string(Tok, P - Tok) +
                  " in barrier";
-        Seen.push_back(Tid);
       }
       // Every id was fine, so there were none.
       return "barrier needs at least one thread id";

@@ -178,7 +178,7 @@ TEST(EventRing, PopRunFreesSpaceForTheProducer) {
 
 TEST(EntityInterner, DenseStableIdsPerKind) {
   rt::EntityInterner Interner;
-  int A, B, C;
+  int A = 0, B = 0, C = 0; // only their addresses are interned
   EXPECT_EQ(Interner.intern(rt::EntityKind::Var, &A), 0u);
   EXPECT_EQ(Interner.intern(rt::EntityKind::Var, &B), 1u);
   EXPECT_EQ(Interner.intern(rt::EntityKind::Var, &A), 0u); // stable

@@ -146,6 +146,31 @@ TEST(TraceIO, RejectsDuplicateBarrierThreads) {
   EXPECT_TRUE(parseTrace("barrier 0 1 2\n", Parsed).ok());
 }
 
+TEST(TraceIO, WideBarrierDuplicateNamesTheRepeatedId) {
+  // A 20,000-thread barrier parses; the same line with its last id
+  // replaced by an earlier one is rejected naming that repeat.
+  std::string Ids;
+  for (unsigned T = 0; T != 20000; ++T) {
+    Ids += ' ';
+    Ids += std::to_string(T);
+  }
+  Trace Parsed;
+  ASSERT_TRUE(parseTrace("rd 0 1\nbarrier" + Ids + "\n", Parsed).ok());
+  ASSERT_EQ(Parsed.numBarrierSets(), 1u);
+  EXPECT_EQ(Parsed.barrierSet(0).size(), 20000u);
+  EXPECT_EQ(Parsed.numThreads(), 20000u);
+
+  Ids.resize(Ids.rfind(' '));
+  ParseReport Report =
+      parseTrace("rd 0 1\nbarrier" + Ids + " 12345\n", Parsed);
+  ASSERT_FALSE(Report.ok());
+  ASSERT_EQ(Report.Diags.size(), 1u);
+  EXPECT_EQ(Report.Diags[0].Line, 2u);
+  EXPECT_EQ(Report.Diags[0].Message, "duplicate thread id 12345 in barrier");
+  EXPECT_EQ(Report.St.message(),
+            "line 2: duplicate thread id 12345 in barrier");
+}
+
 TEST(TraceIO, ReportsCorrectLineNumber) {
   Trace Parsed;
   ParseReport Report = parseTrace("rd 0 1\n# ok\nwr 1\n", Parsed);

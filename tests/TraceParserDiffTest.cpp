@@ -356,13 +356,18 @@ TEST(TraceParserDiff, LoadSplitsEveryConstructAcrossChunks) {
 }
 
 TEST(TraceParserDiff, LoadCarriesLinesLongerThanAChunk) {
-  // A comment line longer than a whole read, then a barrier naming 3,000
-  // threads that straddles the next read boundary.
-  std::string Text = "rd 0 1\n#" + std::string(ChunkBytes + 100, 'c') + "\n";
+  // A comment line longer than a whole read, then a barrier naming 20,000
+  // threads — itself longer than a read — that straddles the next read
+  // boundary.
+  std::string Text = "rd 0 1\n#";
+  Text.append(ChunkBytes + 100, 'c');
+  Text += '\n';
   padTo(Text, 2 * ChunkBytes - 5000);
   Text += "barrier";
-  for (unsigned T = 0; T != 3000; ++T)
-    Text += " " + std::to_string(T);
+  for (unsigned T = 0; T != 20000; ++T) {
+    Text += ' ';
+    Text += std::to_string(T);
+  }
   Text += "\nwr 0 1\n";
   ASSERT_GT(Text.size(), 2 * ChunkBytes + 5000);
   expectLoadMatchesParse(Text, "long lines");
