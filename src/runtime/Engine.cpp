@@ -21,6 +21,20 @@ std::atomic<Engine *> CurrentEngine{nullptr};
 /// matches a real generation.
 std::atomic<uint64_t> GenerationCounter{0};
 
+/// The wait of a thread blocked on another thread's progress (a ring to
+/// drain, a slot to retire): yield for the first 64 rounds, so on a shared
+/// core the thread being waited for gets the CPU at once, then sleep 50 us
+/// a round so a long wait does not burn a core.
+struct Backoff {
+  unsigned Spins = 0;
+  void pause() {
+    if (++Spins < 64)
+      std::this_thread::yield();
+    else
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+};
+
 ToolContext capacityContext(const OnlineOptions &Options) {
   ToolContext Context;
   Context.NumThreads = Options.MaxThreads;
@@ -324,27 +338,21 @@ Engine::Channel *Engine::takeSlotLocked(bool ForeignThread,
 }
 
 Engine::Channel *Engine::acquireSlot(bool ForeignThread) {
-  {
+  // While a joined thread's slot is still draining, wait for it. Draining
+  // is the merge loop's normal job (ring-latency fast), and the backoff
+  // yields first because on a shared core this thread is what keeps the
+  // merge loop off the CPU; the one legitimate slow case is a stalled
+  // merge loop, which the supervisor recovers within its own deadline —
+  // so wait bounded rather than failing eagerly or forever.
+  Stopwatch Wait;
+  const uint64_t DeadlineNs =
+      static_cast<uint64_t>(Options.SlotDrainWaitMs) * 1000000ull;
+  for (Backoff Spin;; Spin.pause()) {
     std::lock_guard<std::mutex> Guard(ChannelMu);
     if (Channel *Ch = takeSlotLocked(ForeignThread))
       return Ch;
     if (ForeignThread || !Options.RecycleThreadSlots ||
-        RetiringSlots.empty())
-      return nullptr;
-  }
-  // A joined thread's slot is still draining. Draining is the sequencer's
-  // normal job (ring-latency fast); the one legitimate slow case is a
-  // stalled sequencer, which the supervisor recovers within its own
-  // deadline — so wait bounded rather than failing eagerly or forever.
-  Stopwatch Wait;
-  const uint64_t DeadlineNs =
-      static_cast<uint64_t>(Options.SlotDrainWaitMs) * 1000000ull;
-  for (;;) {
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-    std::lock_guard<std::mutex> Guard(ChannelMu);
-    if (Channel *Ch = takeSlotLocked(ForeignThread))
-      return Ch;
-    if (RetiringSlots.empty() || Wait.nanoseconds() >= DeadlineNs ||
+        RetiringSlots.empty() || Wait.nanoseconds() >= DeadlineNs ||
         Halted.load(std::memory_order_acquire))
       // Give up on the drain: take a fresh slot if the table still has
       // room (robustness beats width), else report exhaustion.
@@ -442,7 +450,7 @@ bool Engine::parkUntilSpace(Channel *Ch, OpKind Kind) {
   const uint64_t DeadlineNs =
       static_cast<uint64_t>(Options.Supervise.MaxParkMs) * 1000000ull;
   Stopwatch Park;
-  unsigned Spins = 0;
+  Backoff Spin;
   bool GotSpace = false;
   for (;;) {
     if (Ch->Ring.hasSpace()) {
@@ -464,10 +472,7 @@ bool Engine::parkUntilSpace(Channel *Ch, OpKind Kind) {
         break;
       }
     }
-    if (++Spins < 64)
-      std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
+    Spin.pause();
   }
   ProducersParked.fetch_sub(1, std::memory_order_relaxed);
   return GotSpace;
@@ -569,42 +574,6 @@ ShadowGovernorStats Engine::shardGovernorStats() const {
   return Total;
 }
 
-bool Engine::routeToShard(Shard &S, const OnlineEvent &E) {
-  // The router must NEVER abandon an admitted event: it is already in the
-  // capture and owns a raw index, so dropping it would desync every
-  // shard's state from the capture the equivalence contract replays. A
-  // full ring is backpressure (the shard is behind) or a wedged worker —
-  // either way the fix is on the shard side, so the router parks and
-  // raises RouterBlockedOnShard, which (a) tells the supervisor its
-  // frozen watermark is the shard's fault and (b) keeps the supervisor
-  // from restarting a router it could never join. Only a halt lets the
-  // router give up, counted by the caller.
-  if (S.Ring.hasSpace()) {
-    S.Ring.push(E);
-    S.Routed.fetch_add(1, std::memory_order_release);
-    return true;
-  }
-  RouterBlockedOnShard.store(true, std::memory_order_release);
-  unsigned Spins = 0;
-  bool Pushed = false;
-  for (;;) {
-    if (S.Ring.hasSpace()) {
-      S.Ring.push(E);
-      S.Routed.fetch_add(1, std::memory_order_release);
-      Pushed = true;
-      break;
-    }
-    if (Halted.load(std::memory_order_acquire))
-      break;
-    if (++Spins < 64)
-      std::this_thread::yield();
-    else
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-  }
-  RouterBlockedOnShard.store(false, std::memory_order_release);
-  return Pushed;
-}
-
 void Engine::mergeLoop(uint64_t Epoch) {
   // The session's one merge loop, at every shard count: merge the rings by
   // ticket, run admission (degradation ladder, capacity checks, lock
@@ -648,23 +617,31 @@ void Engine::mergeLoop(uint64_t Epoch) {
     for (std::vector<OnlineEvent> &Buf : Stage)
       Buf.reserve(StageCap);
   }
+  // The router must NEVER abandon an admitted event: it is already in the
+  // capture and owns a raw index, so dropping it would desync every
+  // shard's state from the capture the equivalence contract replays. A
+  // full ring is backpressure (the shard is behind) or a wedged worker —
+  // either way the fix is on the shard side, so the router parks and
+  // raises RouterBlockedOnShard, which (a) tells the supervisor its
+  // frozen watermark is the shard's fault and (b) keeps the supervisor
+  // from restarting a router it could never join. Only a halt lets the
+  // router give up, discarding and counting the rest.
   auto FlushShard = [&](unsigned SI) {
     std::vector<OnlineEvent> &Buf = Stage[SI];
     if (Buf.empty())
       return;
     Shard &S = *ShardSet[SI];
     size_t Off = 0;
-    unsigned Spins = 0;
+    Backoff Spin;
     bool Flagged = false;
     while (Off != Buf.size()) {
       size_t K = S.Ring.pushRun(Buf.data() + Off, Buf.size() - Off);
       if (K != 0) {
         S.Routed.fetch_add(K, std::memory_order_release);
         Off += K;
-        Spins = 0;
+        Spin = Backoff();
         continue;
       }
-      // Full ring: same park-don't-drop contract as routeToShard.
       if (Halted.load(std::memory_order_acquire)) {
         DiscardedPostHalt += Buf.size() - Off;
         break;
@@ -673,10 +650,7 @@ void Engine::mergeLoop(uint64_t Epoch) {
         Flagged = true;
         RouterBlockedOnShard.store(true, std::memory_order_release);
       }
-      if (++Spins < 64)
-        std::this_thread::yield();
-      else
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
+      Spin.pause();
     }
     if (Flagged)
       RouterBlockedOnShard.store(false, std::memory_order_release);
@@ -799,14 +773,13 @@ void Engine::mergeLoop(uint64_t Epoch) {
                 // makes a per-shard sync *ordinal* well defined without
                 // carrying an extra field. Filter-stripped lock events are
                 // captured (they own raw indices) but never routed: shard
-                // drivers run with the filter off. Staged accesses flush
-                // first so every ring receives the sync after the
-                // accesses admitted before it.
-                for (unsigned SI = 0; SI != NumShards; ++SI)
+                // drivers run with the filter off. The sync joins each
+                // shard's staged accesses and the stage flushes, so every
+                // ring receives it after the accesses admitted before it.
+                for (unsigned SI = 0; SI != NumShards; ++SI) {
+                  Stage[SI].push_back(Routed);
                   FlushShard(SI);
-                for (std::unique_ptr<Shard> &S : ShardSet)
-                  if (!routeToShard(*S, Routed))
-                    ++DiscardedPostHalt;
+                }
               }
             }
             if (Faults && Faults->inStorm(Batch[I].Seq))
@@ -1115,8 +1088,15 @@ void Engine::supervisorLoop() {
   unsigned PressureTicks = 0;
   std::vector<uint64_t> ShardMarks(ShardSet.size(), 0);
   std::vector<unsigned> ShardStalledMs(ShardSet.size(), 0);
-  while (SupervisorRun.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(S.TickMs));
+  for (;;) {
+    {
+      // A timed wait, not a sleep: finish() clears SupervisorRun and
+      // notifies, so it never waits out the rest of a tick.
+      std::unique_lock<std::mutex> Lock(SupervisorMu);
+      if (SupervisorWake.wait_for(Lock, std::chrono::milliseconds(S.TickMs),
+                                  [this] { return !SupervisorRun; }))
+        return;
+    }
     uint64_t Mark = NextSeq.load(std::memory_order_acquire);
     uint64_t Tickets = Seq.load(std::memory_order_acquire);
     if (Tickets > Mark)
@@ -1215,7 +1195,11 @@ OnlineReport Engine::finish() {
       std::this_thread::yield();
   Running.store(false, std::memory_order_release);
   // Stop the supervisor first so no restart can race the joins below.
-  SupervisorRun.store(false, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> Guard(SupervisorMu);
+    SupervisorRun = false;
+  }
+  SupervisorWake.notify_one();
   if (SupervisorThread.joinable())
     SupervisorThread.join();
   if (SequencerThread.joinable())

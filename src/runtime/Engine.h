@@ -124,6 +124,7 @@
 #include "trace/Trace.h"
 
 #include <atomic>
+#include <condition_variable>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -135,10 +136,10 @@ namespace ft::runtime {
 
 struct FaultPlan;
 
-/// Knobs of the sequencer watchdog (tentpole piece 2). The supervisor is
-/// a 5 ms-tick thread; its cost is noise, but it is the only mechanism
-/// that bounds how long an application thread can block on a wedged
-/// detector, so it defaults on.
+/// Knobs of the sequencer watchdog. The supervisor is a 5 ms-tick thread
+/// that finish() wakes, so no session waits out a tick; its cost is noise,
+/// but it is the only mechanism that bounds how long an application thread
+/// can block on a wedged detector, so it defaults on.
 struct SupervisorOptions {
   /// Master switch. Off restores PR 3 behavior: a wedged sequencer parks
   /// producers forever.
@@ -485,7 +486,6 @@ private:
   bool parkUntilSpace(Channel *Ch, OpKind Kind);
   void mergeLoop(uint64_t Epoch);
   void shardLoop(Shard &S, uint64_t MyEpoch);
-  bool routeToShard(Shard &S, const OnlineEvent &E);
   unsigned shardIndexFor(uint32_t Target) const;
   uint64_t shardShadowBytes() const;
   ShadowGovernorStats shardGovernorStats() const;
@@ -580,7 +580,11 @@ private:
                                            ///< expiry (pressure signal).
   std::atomic<uint64_t> MaxBacklogSeen{0};
   std::atomic<unsigned> Restarts{0};
-  std::atomic<bool> SupervisorRun{true};
+  /// The supervisor's run flag, under SupervisorMu: finish() clears it
+  /// and notifies SupervisorWake, which ends the current tick at once.
+  bool SupervisorRun = true;
+  std::mutex SupervisorMu;
+  std::condition_variable SupervisorWake;
   unsigned StallsSeen = 0; ///< Supervisor-thread private.
   std::mutex SupMu;        ///< Guards SupDiags.
   std::vector<Diagnostic> SupDiags;

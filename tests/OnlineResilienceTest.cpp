@@ -185,6 +185,31 @@ TEST(OnlineResilience, StalledSequencerIsRestartedExactlyOnce) {
   expectSameWarnings(Detector.warnings(), Offline.warnings());
 }
 
+TEST(OnlineResilience, FinishWakesTheSupervisorMidTick) {
+  // finish() must not wait out the supervisor's tick: it clears the run
+  // flag and wakes the timed wait, so a session with a 2 s tick ends in
+  // milliseconds. The stall and pressure tests above and below show the
+  // supervisor still ticks while the session runs.
+  rt::OnlineOptions Options;
+  Options.Supervise.TickMs = 2000;
+
+  FastTrack Detector;
+  rt::Shared<int> X;
+  rt::Engine Engine(Detector, Options);
+  rt::Thread T([&X] {
+    for (int I = 0; I != 100; ++I)
+      FT_WRITE(X, I);
+  });
+  T.join();
+  Stopwatch Finish;
+  rt::OnlineReport Report = Engine.finish();
+  EXPECT_LT(Finish.seconds(), 0.5);
+
+  EXPECT_FALSE(Report.Halted);
+  EXPECT_EQ(Report.EventsCaptured, 102u); // fork + 100 writes + join
+  EXPECT_EQ(Report.SequencerRestarts, 0u);
+}
+
 TEST(OnlineResilience, SecondStallDowngradesALadderRung) {
   rt::FaultPlan Faults;
   Faults.StallAtTicket = 10;

@@ -23,6 +23,8 @@
 
 #include <gtest/gtest.h>
 
+#include <sched.h>
+
 #include <atomic>
 #include <cstdio>
 #include <mutex>
@@ -940,6 +942,80 @@ TEST(ThreadChurn, SlotExhaustionDegradesGracefully) {
     SawExhaustion |= D.Code == StatusCode::ResourceExhausted &&
                      D.Message.find("exhausted") != std::string::npos;
   EXPECT_TRUE(SawExhaustion);
+  EXPECT_TRUE(isFeasible(Report.Captured, tidReuse()));
+  expectOfflineEquivalent(Detector, Report.Captured);
+}
+
+TEST(ThreadChurn, ForkJoinRoundsOnOneSharedCore) {
+  // Fork/join rounds of two producers with the whole session pinned to one
+  // CPU: a round's forks can find the previous round's slots still
+  // retiring, and the merge loop that drains them shares the core with
+  // the forking thread. The fork must wait for the drain rather than
+  // fail or widen the table, and no thread of the session may park or
+  // degrade.
+  constexpr int Rounds = 50;
+  constexpr int Producers = 2;
+  constexpr int Steps = 112; // 1 + 112 x 8 = 897 events per producer
+  constexpr int Stripes = 4, SliceVars = 64, TableVars = 128;
+
+  cpu_set_t Saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(Saved), &Saved), 0);
+  int Cpu = 0;
+  while (!CPU_ISSET(Cpu, &Saved))
+    ++Cpu;
+  cpu_set_t One;
+  CPU_ZERO(&One);
+  CPU_SET(Cpu, &One);
+  // Threads inherit the creator's mask: the engine's merge loop, its
+  // supervisor and every producer run on this one CPU.
+  ASSERT_EQ(sched_setaffinity(0, sizeof(One), &One), 0);
+  struct RestoreMask {
+    const cpu_set_t &Mask;
+    ~RestoreMask() { sched_setaffinity(0, sizeof(Mask), &Mask); }
+  } Restore{Saved};
+
+  FastTrack Detector;
+  rt::Shared<int> Hot; // written by both producers of a round: a race
+  std::vector<rt::Shared<int>> Counters(Stripes), Table(TableVars);
+  std::vector<std::vector<rt::Shared<int>>> Slices(Producers);
+  for (std::vector<rt::Shared<int>> &Slice : Slices)
+    Slice = std::vector<rt::Shared<int>>(SliceVars);
+  std::vector<rt::Mutex> Locks(Stripes);
+
+  rt::Engine Engine(Detector, rt::OnlineOptions{});
+  for (int I = 0; I != TableVars; ++I)
+    FT_WRITE(Table[I], I); // before the first fork: read-shared after
+  for (int R = 0; R != Rounds; ++R) {
+    std::vector<rt::Thread> Round;
+    for (int P = 0; P != Producers; ++P)
+      Round.emplace_back([&, P, R] {
+        FT_WRITE(Hot, R);
+        for (int K = 0; K != Steps; ++K) {
+          {
+            std::lock_guard<rt::Mutex> Guard(Locks[K % Stripes]);
+            FT_WRITE(Counters[K % Stripes],
+                     FT_READ(Counters[K % Stripes]) + 1);
+          }
+          rt::Shared<int> &Own = Slices[P][K % SliceVars];
+          FT_WRITE(Own, FT_READ(Own) + FT_READ(Table[K % TableVars]) +
+                            FT_READ(Table[(K + 7) % TableVars]));
+        }
+      });
+    for (rt::Thread &T : Round)
+      T.join();
+  }
+  rt::OnlineReport Report = Engine.finish();
+
+  EXPECT_FALSE(Report.Halted);
+  for (const Diagnostic &D : Report.Diags)
+    ADD_FAILURE() << toString(D);
+  EXPECT_EQ(Report.SlotsAllocated, 3u); // main + one slot per producer
+  EXPECT_EQ(Report.ThreadsRecycled,
+            static_cast<uint64_t>(Rounds * Producers - Producers));
+  EXPECT_EQ(Report.ParkEpisodes, 0u);
+  EXPECT_EQ(Report.ForksRejected, 0u);
+  EXPECT_EQ(Report.Degradations, 0u);
+  EXPECT_GE(Report.NumWarnings, 1u);
   EXPECT_TRUE(isFeasible(Report.Captured, tidReuse()));
   expectOfflineEquivalent(Detector, Report.Captured);
 }
